@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "data/panel_source.h"
 #include "obs/trace.h"
 #include "util/arena.h"
 #include "util/check.h"
@@ -216,20 +217,34 @@ GraphStatistics PanelSummarizer::Finish(NormalizationVariant variant) {
   return stats;
 }
 
+Result<GraphStatistics> ComputeGraphStatistics(PanelSource& source,
+                                               const Labeling& seeds,
+                                               int max_length,
+                                               PathType path_type,
+                                               NormalizationVariant variant) {
+  FGR_RETURN_IF_ERROR(CheckSeedsMatch(source, seeds));
+  PanelSummarizer summarizer(seeds, max_length, path_type);
+  for (int length = 1; length <= max_length; ++length) {
+    obs::TraceSpan span(
+        source.streamed() ? "summarize/stream_pass" : "summarize/pass",
+        length);
+    summarizer.BeginPass(length);
+    FGR_RETURN_IF_ERROR(source.ForEachPanel([&](const CsrPanelView& panel) {
+      FGR_TRACE_SPAN("summarize/absorb_panel");
+      summarizer.AbsorbPanel(panel);
+    }));
+    summarizer.EndPass();
+  }
+  return summarizer.Finish(variant);
+}
+
 GraphStatistics ComputeGraphStatistics(const Graph& graph,
                                        const Labeling& seeds, int max_length,
                                        PathType path_type,
                                        NormalizationVariant variant) {
-  FGR_CHECK_EQ(seeds.num_nodes(), graph.num_nodes());
-  PanelSummarizer summarizer(seeds, max_length, path_type);
-  const CsrPanelView whole = graph.adjacency().View();
-  for (int length = 1; length <= max_length; ++length) {
-    FGR_TRACE_SPAN("summarize/pass", length);
-    summarizer.BeginPass(length);
-    summarizer.AbsorbPanel(whole);
-    summarizer.EndPass();
-  }
-  return summarizer.Finish(variant);
+  ResidentPanelSource source(graph.adjacency().View());
+  return ComputeGraphStatistics(source, seeds, max_length, path_type, variant)
+      .value();
 }
 
 SparseMatrix NonBacktrackingMatrixPower(const Graph& graph, int length) {

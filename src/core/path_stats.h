@@ -21,9 +21,12 @@
 #include "graph/labels.h"
 #include "matrix/dense.h"
 #include "matrix/sparse.h"
+#include "util/status.h"
 #include "util/stopwatch.h"
 
 namespace fgr {
+
+class PanelSource;
 
 enum class PathType {
   kNonBacktracking,  // W(ℓ)_NB path counts (consistent estimator, Thm. 4.1)
@@ -47,22 +50,31 @@ struct GraphStatistics {
   double seconds = 0.0;  // summarization wall-clock
 };
 
-// Computes M(ℓ) and P̂(ℓ) for ℓ = 1..max_length via Algorithm 4.4.
+// Computes M(ℓ) and P̂(ℓ) for ℓ = 1..max_length via Algorithm 4.4: one pass
+// over `source` per ℓ, each fed panel by panel through a PanelSummarizer.
+// Fails when `seeds` does not match the source's node count or a streamed
+// panel is corrupt.
+Result<GraphStatistics> ComputeGraphStatistics(
+    PanelSource& source, const Labeling& seeds, int max_length,
+    PathType path_type = PathType::kNonBacktracking,
+    NormalizationVariant variant = NormalizationVariant::kRowStochastic);
+
+// Same, over an in-memory graph (the one-panel source); checks that `seeds`
+// matches the graph.
 GraphStatistics ComputeGraphStatistics(
     const Graph& graph, const Labeling& seeds, int max_length,
     PathType path_type = PathType::kNonBacktracking,
     NormalizationVariant variant = NormalizationVariant::kRowStochastic);
 
 // Folds the ℓ-length path statistics panel by panel — the engine behind
-// both the in-core ComputeGraphStatistics and the out-of-core streaming
-// path (data/streaming_estimation.h). One instance drives max_length
+// ComputeGraphStatistics for every source. One instance drives max_length
 // passes over the adjacency matrix; pass ℓ must see the matrix's row
 // panels in ascending, exactly-tiling order and produces M(ℓ). The
 // resident state is the compact side of the factorization only: the one-hot
 // X plus three rolling n×k recurrence buffers and the degree vector — W
 // itself is whatever panel the caller is holding.
 //
-// The in-core path feeds one whole-matrix panel per pass, so streamed and
+// A resident source feeds one whole-matrix panel per pass, so streamed and
 // in-core results agree bit-for-bit in serial runs (identical operation
 // order: SpMM rows and the M accumulation both proceed in row order) and
 // to floating-point reassociation when threaded (the M reduction combines

@@ -38,7 +38,9 @@ struct BlockRowReaderOptions {
   // Upper bound on the bytes one resident panel may hold (row_ptr slice +
   // col_idx + the materialized values buffer). At least one row is always
   // read, so a single hub row wider than the budget still streams — with
-  // that row's memory.
+  // that row's memory. This bounds one panel, not the pipeline: with
+  // prefetch on, the ring holds depth + 1 (by default 3) panel buffers of
+  // up to this size each.
   std::int64_t memory_budget_bytes = std::int64_t{64} << 20;
   // > 0: exactly this many rows per panel (the last panel takes the
   // remainder), overriding the budget. Tests sweep panel shapes with this.

@@ -16,8 +16,9 @@
 // the underlying reader, reopens the queues, and starts a fresh producer.
 //
 // The class intentionally mirrors BlockRowReader's streaming surface
-// (NextPanel/Rewind/Done/num_nodes/num_panels), so pass loops can be
-// written once as a template over either reader.
+// (NextPanel/Rewind/Done/num_nodes/num_panels), so the streamed
+// PanelSource (data/panel_source.h) writes its pass once over either
+// reader.
 
 #ifndef FGR_DATA_PREFETCHING_PANEL_READER_H_
 #define FGR_DATA_PREFETCHING_PANEL_READER_H_

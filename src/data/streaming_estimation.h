@@ -3,13 +3,14 @@
 //
 // The paper's factorization already shrinks the estimation state to k×k
 // sketches; the only RAM-scale object left in the pipeline was the CSR
-// itself. The ℓ-recurrence consumes W strictly row by row, so the cache
-// streams through it in ℓmax sequential passes: resident memory is the
+// itself. The ℓ-recurrence consumes W strictly row by row, so
+// ComputeGraphStatistics runs over a streamed PanelSource
+// (data/panel_source.h) in ℓmax sequential passes: resident memory is the
 // compact state (one-hot X, three rolling n×k recurrence buffers, the
-// degree vector) plus one panel bounded by the memory budget — W never
-// materializes. Serial streamed results are bit-identical to the in-core
-// path (same kernel, same operation order); threaded runs agree to
-// floating-point reassociation, exactly like the in-core parallel backend.
+// degree vector) plus the reader's panel buffers — W never materializes.
+// Serial streamed results are bit-identical to the in-core path (same
+// kernel, same operation order); threaded runs agree to floating-point
+// reassociation, exactly like the in-core parallel backend.
 
 #ifndef FGR_DATA_STREAMING_ESTIMATION_H_
 #define FGR_DATA_STREAMING_ESTIMATION_H_
@@ -23,11 +24,6 @@
 #include "util/status.h"
 
 namespace fgr {
-
-// Resolves the async-pipeline knob: options.prefetch gated by the
-// FGR_PREFETCH environment escape hatch (FGR_PREFETCH=0 forces the
-// synchronous reader everywhere).
-bool StreamingPrefetchEnabled(const BlockRowReaderOptions& options);
 
 // Streams the ℓ-recurrence over the cache at `path` and returns the same
 // GraphStatistics ComputeGraphStatistics produces in-core. `seeds` must

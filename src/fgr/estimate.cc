@@ -1,34 +1,33 @@
 #include "fgr/estimate.h"
 
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/path_stats.h"
 #include "data/fgrbin.h"
-#include "data/graph_source.h"
-#include "data/streaming_estimation.h"
-#include "prop/linbp_streaming.h"
+#include "data/panel_source.h"
 #include "util/check.h"
 
 namespace fgr {
 namespace {
 
-EstimationResult EstimateInCore(const Graph& graph, const Labeling& seeds,
-                                const DceOptions& options) {
-  const GraphStatistics stats =
-      ComputeGraphStatistics(graph, seeds, options.max_path_length,
-                             options.path_type, options.variant);
-  return EstimateDceFromStatistics(stats, seeds.num_classes(), options);
-}
+// A dataset opened for the pipeline: W as a panel source, plus the seeds.
+// Filled in place, never moved, because `source` and `seeds` may point
+// into `loaded` and `embedded`.
+struct OpenedDataset {
+  std::optional<LabeledGraph> loaded;  // an in-core .fgrbin
+  Labeling embedded;                   // the cache's own label section
+  std::unique_ptr<PanelSource> source;
+  const Labeling* seeds = nullptr;
+};
 
-}  // namespace
-
-Result<EstimationResult> Estimate(const DatasetRef& dataset,
-                                  const EstimateOptions& options) {
+Status Open(const DatasetRef& dataset, const EstimateOptions& options,
+            OpenedDataset* opened) {
   if (dataset.graph != nullptr && !dataset.path.empty()) {
     return Status::InvalidArgument(
         "DatasetRef names both an in-memory graph and a path; set one");
   }
-
   if (dataset.graph != nullptr) {
     if (dataset.seeds == nullptr) {
       return Status::InvalidArgument(
@@ -39,9 +38,11 @@ Result<EstimationResult> Estimate(const DatasetRef& dataset,
           "memory_budget_bytes applies to .fgrbin-backed datasets; an "
           "in-memory graph is already resident");
     }
-    return EstimateInCore(*dataset.graph, *dataset.seeds, options.dce);
+    opened->source = std::make_unique<ResidentPanelSource>(
+        dataset.graph->adjacency().View());
+    opened->seeds = dataset.seeds;
+    return Status::Ok();
   }
-
   if (dataset.path.empty()) {
     return Status::InvalidArgument(
         "empty DatasetRef: set graph + seeds or a .fgrbin path");
@@ -51,100 +52,66 @@ Result<EstimationResult> Estimate(const DatasetRef& dataset,
     // Out-of-core: stream block-row panels under the budget.
     BlockRowReaderOptions reader = options.reader;
     reader.memory_budget_bytes = *options.memory_budget_bytes;
-    reader.prefetch = options.prefetch && options.reader.prefetch;
-    Labeling owned;
-    const Labeling* seeds = dataset.seeds;
-    if (seeds == nullptr) {
+    Result<std::unique_ptr<PanelSource>> streamed =
+        OpenStreamedPanelSource(dataset.path, reader);
+    if (!streamed.ok()) return streamed.status();
+    opened->source = std::move(streamed).value();
+    if (dataset.seeds == nullptr) {
       Result<Labeling> embedded = ReadFgrBinLabels(dataset.path);
       if (!embedded.ok()) return embedded.status();
-      owned = std::move(embedded).value();
-      seeds = &owned;
-      if (seeds->NumLabeled() == 0) {
-        return Status::FailedPrecondition(
-            dataset.path + ": cache has no label section to seed from");
-      }
+      opened->embedded = std::move(embedded).value();
     }
-    Result<GraphStatistics> stats = ComputeGraphStatisticsStreaming(
-        dataset.path, *seeds, options.dce.max_path_length,
-        options.dce.path_type, options.dce.variant, reader);
-    if (!stats.ok()) return stats.status();
-    return EstimateDceFromStatistics(stats.value(), seeds->num_classes(),
-                                     options.dce);
+  } else {
+    // In-core: load the cache whole.
+    Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
+    if (!loaded.ok()) return loaded.status();
+    opened->loaded = std::move(loaded).value();
+    opened->source = std::make_unique<ResidentPanelSource>(
+        opened->loaded->graph.adjacency().View());
+    opened->embedded = std::move(opened->loaded->labels);
   }
-
-  // In-core over a cache: load it whole, seed from the embedded labels
-  // unless the caller supplied their own.
-  Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
-  if (!loaded.ok()) return loaded.status();
-  const Labeling* seeds =
-      dataset.seeds != nullptr ? dataset.seeds : &loaded.value().labels;
-  if (dataset.seeds == nullptr && seeds->NumLabeled() == 0) {
+  // Seed from the embedded labels unless the caller supplied their own.
+  opened->seeds = dataset.seeds != nullptr ? dataset.seeds : &opened->embedded;
+  if (dataset.seeds == nullptr && opened->embedded.NumLabeled() == 0) {
     return Status::FailedPrecondition(
         dataset.path + ": cache has no label section to seed from");
   }
-  return EstimateInCore(loaded.value().graph, *seeds, options.dce);
+  return Status::Ok();
+}
+
+Result<EstimationResult> EstimateOpened(OpenedDataset& opened,
+                                        const DceOptions& options) {
+  Result<GraphStatistics> stats = ComputeGraphStatistics(
+      *opened.source, *opened.seeds, options.max_path_length,
+      options.path_type, options.variant);
+  if (!stats.ok()) return stats.status();
+  return EstimateDceFromStatistics(stats.value(),
+                                   opened.seeds->num_classes(), options);
+}
+
+}  // namespace
+
+Result<EstimationResult> Estimate(const DatasetRef& dataset,
+                                  const EstimateOptions& options) {
+  OpenedDataset opened;
+  FGR_RETURN_IF_ERROR(Open(dataset, options, &opened));
+  return EstimateOpened(opened, options.dce);
 }
 
 Result<LabelResult> Label(const DatasetRef& dataset,
                           const LabelOptions& options) {
-  // In-memory and un-budgeted path routes propagate in core; the budgeted
-  // path route streams estimation and propagation over the same panels.
-  if (dataset.graph == nullptr && !dataset.path.empty() &&
-      options.estimate.memory_budget_bytes.has_value()) {
-    Labeling owned;
-    const Labeling* seeds = dataset.seeds;
-    if (seeds == nullptr) {
-      Result<Labeling> embedded = ReadFgrBinLabels(dataset.path);
-      if (!embedded.ok()) return embedded.status();
-      owned = std::move(embedded).value();
-      seeds = &owned;
-      if (seeds->NumLabeled() == 0) {
-        return Status::FailedPrecondition(
-            dataset.path + ": cache has no label section to seed from");
-      }
-    }
-    LabelResult result;
-    Result<EstimationResult> estimate =
-        Estimate(DatasetRef::FgrBin(dataset.path, seeds), options.estimate);
-    if (!estimate.ok()) return estimate.status();
-    result.estimate = std::move(estimate).value();
-
-    BlockRowReaderOptions reader = options.estimate.reader;
-    reader.memory_budget_bytes = *options.estimate.memory_budget_bytes;
-    reader.prefetch = options.estimate.prefetch &&
-                      options.estimate.reader.prefetch;
-    Result<LinBpResult> propagated = PropagateLinBPStreaming(
-        dataset.path, *seeds, result.estimate.h, options.linbp, reader);
-    if (!propagated.ok()) return propagated.status();
-    result.propagation = std::move(propagated).value();
-    result.labels = LabelsFromBeliefs(result.propagation.beliefs, *seeds);
-    return result;
-  }
-
-  if (dataset.graph == nullptr && !dataset.path.empty()) {
-    // Load the cache once and fall through to the in-memory route, so the
-    // file is not read twice (once to estimate, once to propagate).
-    Result<LabeledGraph> loaded = ReadFgrBin(dataset.path);
-    if (!loaded.ok()) return loaded.status();
-    const Labeling* seeds =
-        dataset.seeds != nullptr ? dataset.seeds : &loaded.value().labels;
-    if (dataset.seeds == nullptr && seeds->NumLabeled() == 0) {
-      return Status::FailedPrecondition(
-          dataset.path + ": cache has no label section to seed from");
-    }
-    LabelOptions in_core = options;
-    in_core.estimate.memory_budget_bytes.reset();
-    return Label(DatasetRef::InMemory(loaded.value().graph, *seeds), in_core);
-  }
-
-  Result<EstimationResult> estimate = Estimate(dataset, options.estimate);
+  OpenedDataset opened;
+  FGR_RETURN_IF_ERROR(Open(dataset, options.estimate, &opened));
+  Result<EstimationResult> estimate =
+      EstimateOpened(opened, options.estimate.dce);
   if (!estimate.ok()) return estimate.status();
   LabelResult result;
   result.estimate = std::move(estimate).value();
-  result.propagation = RunLinBp(*dataset.graph, *dataset.seeds,
-                                result.estimate.h, options.linbp);
-  result.labels =
-      LabelsFromBeliefs(result.propagation.beliefs, *dataset.seeds);
+  Result<LinBpResult> propagated = RunLinBp(
+      *opened.source, *opened.seeds, result.estimate.h, options.linbp);
+  if (!propagated.ok()) return propagated.status();
+  result.propagation = std::move(propagated).value();
+  result.labels = LabelsFromBeliefs(result.propagation.beliefs, *opened.seeds);
   return result;
 }
 

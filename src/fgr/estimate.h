@@ -2,13 +2,14 @@
 //
 // Callers name *what* to estimate over (a DatasetRef: an in-memory graph
 // with seeds, or a .fgrbin cache on disk) and *how* (EstimateOptions:
-// the DCE knobs plus an optional memory budget); Estimate routes to the
-// in-core summarizer or the out-of-core block-row streamer accordingly.
-// The legacy entry points — EstimateDce (core/dce.h) and
-// EstimateDceStreaming (data/streaming_estimation.h) — are thin wrappers
-// over this function, so every route runs the identical pipeline:
-// summarize to GraphStatistics, then EstimateDceFromStatistics. Serial
-// results are bit-identical across routes.
+// the DCE knobs plus an optional memory budget). Every route opens the
+// dataset as a PanelSource (data/panel_source.h) — resident for a graph or
+// a loaded cache, streamed block-row under a budget — and runs the one
+// pipeline over it: summarize to GraphStatistics, then
+// EstimateDceFromStatistics. The legacy entry points — EstimateDce
+// (core/dce.h) and EstimateDceStreaming (data/streaming_estimation.h) — are
+// thin wrappers over this function. Serial results are bit-identical
+// across routes.
 
 #ifndef FGR_FGR_ESTIMATE_H_
 #define FGR_FGR_ESTIMATE_H_
@@ -58,12 +59,9 @@ struct EstimateOptions {
   // reader.memory_budget_bytes. Unset: the cache is loaded in core.
   // Setting it for an in-memory graph is an error (already resident).
   std::optional<std::int64_t> memory_budget_bytes;
-  // Panel shaping for the streamed route (rows_per_panel etc).
+  // Panel shaping and prefetch for the streamed route (rows_per_panel,
+  // prefetch etc).
   BlockRowReaderOptions reader;
-  // Streamed routes read panels on a producer thread ahead of compute (the
-  // async panel pipeline). Results are identical either way; FGR_PREFETCH=0
-  // in the environment forces this off as an escape hatch.
-  bool prefetch = true;
 };
 
 // Routes to the in-core or streaming estimator per the rules above.
@@ -72,12 +70,11 @@ struct EstimateOptions {
 Result<EstimationResult> Estimate(const DatasetRef& dataset,
                                   const EstimateOptions& options = {});
 
-// fgr::Label — estimate H, then propagate it to a full labeling. The same
-// router rules apply: in-memory and un-budgeted path routes load the graph
-// and run RunLinBp in core; a budgeted path route streams both the
-// estimation *and* the propagation block-row (PropagateLinBPStreaming), so
-// only the n×k belief state is ever resident. Streamed labels are
-// bit-identical to in-core at one thread.
+// fgr::Label — estimate H, then propagate it to a full labeling with
+// RunLinBp over the same opened source. The same router rules apply: a
+// budgeted path route streams both the estimation *and* the propagation
+// block-row from one opened reader, so only the n×k belief state is ever
+// resident. Streamed labels are bit-identical to in-core at one thread.
 struct LabelOptions {
   EstimateOptions estimate;
   LinBpOptions linbp;

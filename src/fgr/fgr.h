@@ -34,6 +34,7 @@
 #include "data/graph_source.h"
 #include "data/mimic_source.h"
 #include "data/mmap_fgrbin.h"
+#include "data/panel_source.h"
 #include "data/prefetching_panel_reader.h"
 #include "data/registry.h"
 #include "data/streaming_estimation.h"

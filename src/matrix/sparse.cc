@@ -146,6 +146,18 @@ void CsrPanelView::RowSumsInto(double* out) const {
                     });
 }
 
+void CsrPanelView::OrderedRowSumsInto(double* out) const {
+  if (rows_ == 0) return;
+  const Index base = row_ptr_[0];
+  ParallelFor(0, rows_, [&](Index i) {
+    double sum = 0.0;
+    for (Index p = row_ptr_[i] - base; p < row_ptr_[i + 1] - base; ++p) {
+      sum += values_ == nullptr ? 1.0 : values_[p];
+    }
+    out[i] = sum;
+  });
+}
+
 void CsrPanelView::MultiplyVectorInto(const std::vector<double>& x,
                                       std::vector<double>* y) const {
   FGR_CHECK_EQ(cols_, static_cast<Index>(x.size())) << "SpMV shape mismatch";
@@ -398,14 +410,7 @@ void SparseMatrix::MultiplyVector(const std::vector<double>& x,
 
 std::vector<double> SparseMatrix::RowSums() const {
   std::vector<double> sums(static_cast<std::size_t>(rows_), 0.0);
-  ParallelFor(0, rows_, [&](Index i) {
-    double sum = 0.0;
-    for (Index p = row_ptr_[static_cast<std::size_t>(i)];
-         p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p) {
-      sum += values_[static_cast<std::size_t>(p)];
-    }
-    sums[static_cast<std::size_t>(i)] = sum;
-  });
+  View().OrderedRowSumsInto(sums.data());
   return sums;
 }
 

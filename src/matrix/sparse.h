@@ -84,6 +84,11 @@ class CsrPanelView {
   // Row sums of the panel (weighted degrees), written to out[0..rows()).
   void RowSumsInto(double* out) const;
 
+  // Same, but each row is summed left to right — the order
+  // SparseMatrix::RowSums (and so Graph::degrees) uses. RowSumsInto's SIMD
+  // kernels may reassociate a row's sum; this one never does.
+  void OrderedRowSumsInto(double* out) const;
+
   // y[first_row .. first_row + rows) = panel × x for a vector; other
   // entries of `y` are untouched. Checks x.size() == cols() and that `y`
   // is long enough. Row-parallel and bit-reproducible across thread counts

@@ -2,30 +2,31 @@
 
 #include <vector>
 
+#include "data/panel_source.h"
 #include "util/check.h"
 
 namespace fgr {
 
-// PowerIterate itself lives in spectral.h so the out-of-core propagation
-// path can drive it with a streamed multiply callback.
+Result<double> SpectralRadius(PanelSource& source,
+                              const PowerIterationOptions& options) {
+  Status status = Status::Ok();
+  const double rho = PowerIterate(
+      source.num_nodes(),
+      [&](const std::vector<double>& x, std::vector<double>* y) {
+        y->assign(x.size(), 0.0);
+        if (!status.ok()) return;
+        status = source.ForEachPanel(
+            [&](const CsrPanelView& panel) { panel.MultiplyVectorInto(x, y); });
+      },
+      options);
+  if (!status.ok()) return status;
+  return rho;
+}
 
 double SpectralRadius(const SparseMatrix& matrix,
                       const PowerIterationOptions& options) {
-  FGR_CHECK_EQ(matrix.rows(), matrix.cols());
-  return SpectralRadius(matrix.View(), options);
-}
-
-double SpectralRadius(const CsrPanelView& view,
-                      const PowerIterationOptions& options) {
-  FGR_CHECK_EQ(view.first_row(), 0) << "spectral radius needs a whole matrix";
-  FGR_CHECK_EQ(view.rows(), view.cols());
-  return PowerIterate(
-      view.rows(),
-      [&view](const std::vector<double>& x, std::vector<double>* y) {
-        y->assign(x.size(), 0.0);
-        view.MultiplyVectorInto(x, y);
-      },
-      options);
+  ResidentPanelSource source(matrix.View());
+  return SpectralRadius(source, options).value();
 }
 
 double SpectralRadius(const DenseMatrix& matrix,

@@ -19,8 +19,11 @@
 #include "matrix/sparse.h"
 #include "util/check.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace fgr {
+
+class PanelSource;
 
 struct PowerIterationOptions {
   int max_iterations = 200;
@@ -36,12 +39,8 @@ inline double Norm2(const std::vector<double>& x) {
 }
 }  // namespace spectral_internal
 
-// Shared power-iteration loop over an opaque y = A·x callback. Exposed so
-// callers that only see the matrix one panel at a time (the out-of-core
-// propagation path) run the *identical* iteration — same seed, same start
-// vector, same convergence test — as the in-core SpectralRadius overloads,
-// which keeps streamed and in-core spectral radii bit-identical when the
-// callback reproduces A·x exactly.
+// Shared power-iteration loop over an opaque y = A·x callback: the sparse
+// (panel-source) and dense SpectralRadius overloads both run it.
 template <typename MultiplyFn>
 double PowerIterate(std::int64_t n, MultiplyFn&& multiply,
                     const PowerIterationOptions& options = {}) {
@@ -72,14 +71,16 @@ double PowerIterate(std::int64_t n, MultiplyFn&& multiply,
   return lambda;
 }
 
-// Spectral radius of a symmetric sparse matrix. Returns 0 for empty matrices.
-double SpectralRadius(const SparseMatrix& matrix,
-                      const PowerIterationOptions& options = {});
+// Spectral radius of the symmetric adjacency matrix behind `source`
+// (data/panel_source.h): each multiply is one pass tiling y from the
+// panels' disjoint row ranges, so a streamed ρ(W) is bit-identical to the
+// in-core one. Fails only when a streamed panel is corrupt. Returns 0 for
+// empty matrices.
+Result<double> SpectralRadius(PanelSource& source,
+                              const PowerIterationOptions& options = {});
 
-// Same, over a whole-matrix CsrPanelView (first_row 0, rows == cols) — the
-// form the serving layer uses on mmap'd .fgrbin caches. The SparseMatrix
-// overload delegates here, so both paths run the identical iteration.
-double SpectralRadius(const CsrPanelView& view,
+// Same, over an in-memory matrix (the one-panel source).
+double SpectralRadius(const SparseMatrix& matrix,
                       const PowerIterationOptions& options = {});
 
 // Spectral radius of a symmetric dense matrix (intended for k×k H).

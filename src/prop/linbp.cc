@@ -1,7 +1,11 @@
 #include "prop/linbp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "data/panel_source.h"
 #include "matrix/spectral.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -9,24 +13,24 @@
 
 namespace fgr {
 
-LinBpResult RunLinBp(const Graph& graph, const Labeling& seeds,
-                     const DenseMatrix& h, const LinBpOptions& options) {
-  return RunLinBp(graph.adjacency().View(), graph.degrees(), seeds, h,
-                  options);
-}
+namespace {
 
-LinBpResult RunLinBp(const CsrPanelView& adjacency,
-                     const std::vector<double>& degrees,
-                     const Labeling& seeds, const DenseMatrix& h,
-                     const LinBpOptions& options) {
-  FGR_CHECK_EQ(adjacency.first_row(), 0) << "LinBP needs the whole matrix";
-  FGR_CHECK_EQ(adjacency.rows(), adjacency.cols());
-  FGR_CHECK_EQ(seeds.num_nodes(), adjacency.rows());
-  FGR_CHECK_EQ(static_cast<std::int64_t>(degrees.size()), adjacency.rows());
-  FGR_CHECK_EQ(h.rows(), h.cols());
-  FGR_CHECK_EQ(h.rows(), static_cast<std::int64_t>(seeds.num_classes()));
-  FGR_CHECK_GT(options.iterations, 0);
-  FGR_CHECK(options.convergence_scale > 0.0);
+// The one LinBP body. `known_degrees` (may be null) spares the echo term its
+// row-sum pass when the caller already holds W's weighted degrees.
+Result<LinBpResult> Propagate(PanelSource& source, const Labeling& seeds,
+                              const DenseMatrix& h,
+                              const LinBpOptions& options,
+                              const std::vector<double>* known_degrees) {
+  FGR_RETURN_IF_ERROR(CheckSeedsMatch(source, seeds));
+  if (h.rows() != h.cols() ||
+      h.rows() != static_cast<std::int64_t>(seeds.num_classes())) {
+    return Status::InvalidArgument(
+        "RunLinBp: H must be k×k for k = num_classes");
+  }
+  if (options.iterations <= 0 || !(options.convergence_scale > 0.0)) {
+    return Status::InvalidArgument(
+        "RunLinBp: iterations and convergence_scale must be positive");
+  }
 
   LinBpResult result;
   // Center by the mean entry: identical to CenterCompatibility (−1/k) for a
@@ -36,8 +40,13 @@ LinBpResult RunLinBp(const CsrPanelView& adjacency,
   DenseMatrix h_centered = h;
   h_centered.AddConstant(-h.Sum() /
                          static_cast<double>(h.rows() * h.cols()));
-  result.rho_w = options.rho_w_hint > 0.0 ? options.rho_w_hint
-                                          : SpectralRadius(adjacency);
+  if (options.rho_w_hint > 0.0) {
+    result.rho_w = options.rho_w_hint;
+  } else {
+    Result<double> rho_w = SpectralRadius(source);
+    if (!rho_w.ok()) return rho_w.status();
+    result.rho_w = rho_w.value();
+  }
   result.rho_h = SpectralRadius(h_centered);
 
   // ε = s / (ρ(W)·ρ(H̃)); degenerate spectra (empty graph or uniform H,
@@ -54,47 +63,67 @@ LinBpResult RunLinBp(const CsrPanelView& adjacency,
                            : h;
   h_prop.Scale(result.epsilon);
 
+  // Echo cancellation needs Ĥ² and the weighted degrees, summed in the
+  // row order of Graph::degrees() so every source agrees bit for bit.
+  DenseMatrix h_prop_sq;
+  std::vector<double> summed_degrees;
+  const std::vector<double>* degrees = known_degrees;
+  if (options.echo_cancellation) {
+    h_prop_sq = h_prop.Multiply(h_prop);
+    if (degrees == nullptr) {
+      summed_degrees.assign(static_cast<std::size_t>(source.num_nodes()),
+                            0.0);
+      FGR_RETURN_IF_ERROR(source.ForEachPanel([&](const CsrPanelView& panel) {
+        panel.OrderedRowSumsInto(summed_degrees.data() + panel.first_row());
+      }));
+      degrees = &summed_degrees;
+    }
+  }
+
   const DenseMatrix x = seeds.ToOneHot();
   DenseMatrix f = x;
   // W·F scratch never escapes, so it takes the SIMD-friendly padded row
   // stride; f / f_next become result.beliefs and stay dense.
   DenseMatrix wf = DenseMatrix::WithPaddedStride(x.rows(), x.cols());
   DenseMatrix f_next(x.rows(), x.cols());
-
-  // Echo cancellation needs Ĥ² and the degree-scaled term.
-  DenseMatrix h_prop_sq;
-  if (options.echo_cancellation) h_prop_sq = h_prop.Multiply(h_prop);
+  const std::int64_t k = h_prop.cols();
 
   for (int iter = 0; iter < options.iterations; ++iter) {
-    FGR_TRACE_SPAN("prop/linbp_iteration", iter);
+    obs::TraceSpan span(source.streamed() ? "prop/linbp_streaming_iteration"
+                                          : "prop/linbp_iteration",
+                        iter);
     result.iterations_run = iter + 1;
-    adjacency.MultiplyInto(f, &wf);
-    // f_next = X + (W F) H'   [row-block product with the small k×k matrix]
-    const std::int64_t k = h_prop.cols();
-    ParallelFor(0, f.rows(), [&](std::int64_t i) {
-      const double* wf_row = wf.RowPtr(i);
-      const double* x_row = x.RowPtr(i);
-      double* out_row = f_next.RowPtr(i);
-      for (std::int64_t j = 0; j < k; ++j) {
-        double sum = x_row[j];
-        for (std::int64_t c = 0; c < k; ++c) {
-          sum += wf_row[c] * h_prop(c, j);
-        }
-        out_row[j] = sum;
-      }
-      if (options.echo_cancellation) {
-        // − d_i · (F H̃²)_i:
-        const double* f_row = f.RowPtr(i);
-        const double d = degrees[static_cast<std::size_t>(i)];
-        for (std::int64_t j = 0; j < k; ++j) {
-          double echo = 0.0;
-          for (std::int64_t c = 0; c < k; ++c) {
-            echo += f_row[c] * h_prop_sq(c, j);
-          }
-          out_row[j] -= d * echo;
-        }
-      }
-    });
+    // f_next = X + (W F) H' − D F Ĥ², panel by panel: each panel fills its
+    // rows of W·F, then folds exactly those rows.
+    FGR_RETURN_IF_ERROR(source.ForEachPanel([&](const CsrPanelView& panel) {
+      panel.MultiplyInto(f, &wf);
+      ParallelFor(
+          panel.first_row(), panel.first_row() + panel.rows(),
+          [&](std::int64_t i) {
+            const double* wf_row = wf.RowPtr(i);
+            const double* x_row = x.RowPtr(i);
+            double* out_row = f_next.RowPtr(i);
+            for (std::int64_t j = 0; j < k; ++j) {
+              double sum = x_row[j];
+              for (std::int64_t c = 0; c < k; ++c) {
+                sum += wf_row[c] * h_prop(c, j);
+              }
+              out_row[j] = sum;
+            }
+            if (options.echo_cancellation) {
+              // − d_i · (F H̃²)_i:
+              const double* f_row = f.RowPtr(i);
+              const double d = (*degrees)[static_cast<std::size_t>(i)];
+              for (std::int64_t j = 0; j < k; ++j) {
+                double echo = 0.0;
+                for (std::int64_t c = 0; c < k; ++c) {
+                  echo += f_row[c] * h_prop_sq(c, j);
+                }
+                out_row[j] -= d * echo;
+              }
+            }
+          });
+    }));
     if (options.early_stop_tolerance > 0.0) {
       // Sharded max-reduction: max is order-independent, so the threaded
       // delta matches the serial one exactly.
@@ -124,6 +153,29 @@ LinBpResult RunLinBp(const CsrPanelView& adjacency,
   }
   result.beliefs = std::move(f);
   return result;
+}
+
+}  // namespace
+
+Result<LinBpResult> RunLinBp(PanelSource& source, const Labeling& seeds,
+                             const DenseMatrix& h,
+                             const LinBpOptions& options) {
+  return Propagate(source, seeds, h, options, nullptr);
+}
+
+LinBpResult RunLinBp(const Graph& graph, const Labeling& seeds,
+                     const DenseMatrix& h, const LinBpOptions& options) {
+  return RunLinBp(graph.adjacency().View(), graph.degrees(), seeds, h,
+                  options);
+}
+
+LinBpResult RunLinBp(const CsrPanelView& adjacency,
+                     const std::vector<double>& degrees,
+                     const Labeling& seeds, const DenseMatrix& h,
+                     const LinBpOptions& options) {
+  FGR_CHECK_EQ(static_cast<std::int64_t>(degrees.size()), adjacency.rows());
+  ResidentPanelSource source(adjacency);
+  return Propagate(source, seeds, h, options, &degrees).value();
 }
 
 Labeling LabelsFromBeliefs(const DenseMatrix& beliefs, const Labeling& seeds) {

@@ -19,8 +19,11 @@
 #include "graph/graph.h"
 #include "graph/labels.h"
 #include "matrix/dense.h"
+#include "util/status.h"
 
 namespace fgr {
+
+class PanelSource;
 
 struct LinBpOptions {
   // Fixed iteration count; the paper's experiments use 10.
@@ -50,15 +53,23 @@ struct LinBpResult {
 
 // Runs LinBP from the seed labeling with compatibility matrix `h` (k×k,
 // symmetric; typically doubly stochastic but any constant-shifted variant
-// labels identically).
+// labels identically) over the adjacency matrix behind `source`
+// (data/panel_source.h). ρ(W) and every iteration are one pass each; each
+// panel fills its rows of W·F and folds them into the next F, which reads
+// only the previous F — so panel order and shape cannot change a value, and
+// streamed beliefs are bit-identical to in-core at any thread count. Only
+// the n×k belief state is resident beyond the source's own panels. Fails on
+// shape mismatches and corrupt streamed panels.
+Result<LinBpResult> RunLinBp(PanelSource& source, const Labeling& seeds,
+                             const DenseMatrix& h,
+                             const LinBpOptions& options = {});
+
+// Same, over an in-memory graph.
 LinBpResult RunLinBp(const Graph& graph, const Labeling& seeds,
                      const DenseMatrix& h, const LinBpOptions& options = {});
 
-// Same, over a whole-matrix adjacency view plus its weighted degrees — the
-// form the serving layer uses to propagate directly on an mmap'd .fgrbin
-// cache without materializing a Graph. The Graph overload delegates here
-// (graph.adjacency().View(), graph.degrees()), so both paths run the
-// identical kernels and agree bit for bit.
+// Same, over a whole-matrix adjacency view plus its weighted degrees (used
+// by the echo term instead of a row-sum pass), e.g. an mmap'd .fgrbin.
 LinBpResult RunLinBp(const CsrPanelView& adjacency,
                      const std::vector<double>& degrees,
                      const Labeling& seeds, const DenseMatrix& h,

@@ -1,208 +1,19 @@
 #include "prop/linbp_streaming.h"
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-#include <vector>
+#include <memory>
 
-#include "data/prefetching_panel_reader.h"
-#include "data/streaming_estimation.h"
-#include "matrix/spectral.h"
-#include "obs/trace.h"
-#include "util/parallel.h"
+#include "data/panel_source.h"
 
 namespace fgr {
-namespace {
-
-// One full pass over the stream: rewind, then apply `fn` to every panel in
-// ascending row order. `panel` persists across passes so buffers recycle.
-template <typename Reader, typename Fn>
-Status RunPanelPass(Reader& reader, CsrPanel& panel, std::int64_t num_cols,
-                    Fn&& fn) {
-  Status rewound = reader.Rewind();
-  if (!rewound.ok()) return rewound;
-  while (!reader.Done()) {
-    Status status = reader.NextPanel(&panel);
-    if (!status.ok()) return status;
-    fn(panel.View(num_cols));
-  }
-  return Status::Ok();
-}
-
-// The propagation body, templated over the sync/prefetching reader. Mirrors
-// RunLinBp operation for operation (see linbp.cc); every divergence would
-// break the bit-identity contract, so change both together.
-template <typename Reader>
-Result<LinBpResult> PropagateStreamed(Reader& reader, const Labeling& seeds,
-                                      const DenseMatrix& h,
-                                      const LinBpOptions& options) {
-  const std::int64_t n = reader.num_nodes();
-  CsrPanel panel;
-  LinBpResult result;
-  DenseMatrix h_centered = h;
-  h_centered.AddConstant(-h.Sum() /
-                         static_cast<double>(h.rows() * h.cols()));
-
-  if (options.rho_w_hint > 0.0) {
-    result.rho_w = options.rho_w_hint;
-  } else {
-    // Streamed power iteration: each multiply is one pass tiling y from
-    // disjoint panel row ranges — bit-identical to the whole-matrix
-    // SpectralRadius (same PowerIterate, same callback arithmetic).
-    Status pass_status = Status::Ok();
-    result.rho_w = PowerIterate(
-        n, [&](const std::vector<double>& x, std::vector<double>* y) {
-          y->assign(x.size(), 0.0);
-          if (!pass_status.ok()) return;
-          pass_status = RunPanelPass(
-              reader, panel, n,
-              [&](const CsrPanelView& view) { view.MultiplyVectorInto(x, y); });
-        });
-    if (!pass_status.ok()) return pass_status;
-  }
-  result.rho_h = SpectralRadius(h_centered);
-
-  const double denom = result.rho_w * result.rho_h;
-  result.epsilon =
-      denom > 1e-12 ? options.convergence_scale / denom
-                    : (result.rho_w > 1e-12
-                           ? options.convergence_scale / result.rho_w
-                           : options.convergence_scale);
-
-  DenseMatrix h_prop = options.centered || options.echo_cancellation
-                           ? h_centered
-                           : h;
-  h_prop.Scale(result.epsilon);
-
-  // Weighted degrees only matter for the echo term; spend the extra pass
-  // only when asked for it. Summed with the plain left-to-right loop of
-  // SparseMatrix::RowSums — not the SIMD RowSumsInto kernel, whose
-  // reassociation would break bit-identity with Graph::degrees().
-  std::vector<double> degrees;
-  if (options.echo_cancellation) {
-    degrees.assign(static_cast<std::size_t>(n), 0.0);
-    Status status =
-        RunPanelPass(reader, panel, n, [&](const CsrPanelView& view) {
-          double* out = degrees.data() + view.first_row();
-          ParallelFor(0, view.rows(), [&](std::int64_t i) {
-            double sum = 0.0;
-            const auto begin = static_cast<std::size_t>(panel.row_ptr[
-                static_cast<std::size_t>(i)]);
-            const auto end = static_cast<std::size_t>(panel.row_ptr[
-                static_cast<std::size_t>(i) + 1]);
-            for (std::size_t p = begin; p < end; ++p) {
-              sum += panel.values[p];
-            }
-            out[i] = sum;
-          });
-        });
-    if (!status.ok()) return status;
-  }
-
-  const DenseMatrix x = seeds.ToOneHot();
-  DenseMatrix f = x;
-  DenseMatrix wf = DenseMatrix::WithPaddedStride(x.rows(), x.cols());
-  DenseMatrix f_next(x.rows(), x.cols());
-  DenseMatrix h_prop_sq;
-  if (options.echo_cancellation) h_prop_sq = h_prop.Multiply(h_prop);
-
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    FGR_TRACE_SPAN("prop/linbp_streaming_iteration", iter);
-    result.iterations_run = iter + 1;
-    // One pass: each panel fills its rows of W·F, then folds those rows
-    // into f_next. The fold reads f (never f_next), so panel order cannot
-    // change any value — rows are independent, exactly as in-core.
-    Status status =
-        RunPanelPass(reader, panel, n, [&](const CsrPanelView& view) {
-          view.MultiplyInto(f, &wf);
-          const std::int64_t k = h_prop.cols();
-          ParallelFor(
-              view.first_row(), view.first_row() + view.rows(),
-              [&](std::int64_t i) {
-                const double* wf_row = wf.RowPtr(i);
-                const double* x_row = x.RowPtr(i);
-                double* out_row = f_next.RowPtr(i);
-                for (std::int64_t j = 0; j < k; ++j) {
-                  double sum = x_row[j];
-                  for (std::int64_t c = 0; c < k; ++c) {
-                    sum += wf_row[c] * h_prop(c, j);
-                  }
-                  out_row[j] = sum;
-                }
-                if (options.echo_cancellation) {
-                  const double* f_row = f.RowPtr(i);
-                  const double d = degrees[static_cast<std::size_t>(i)];
-                  for (std::int64_t j = 0; j < k; ++j) {
-                    double echo = 0.0;
-                    for (std::int64_t c = 0; c < k; ++c) {
-                      echo += f_row[c] * h_prop_sq(c, j);
-                    }
-                    out_row[j] -= d * echo;
-                  }
-                }
-              });
-        });
-    if (!status.ok()) return status;
-    if (options.early_stop_tolerance > 0.0) {
-      const int shards = NumShards(f.rows());
-      std::vector<double> shard_delta(static_cast<std::size_t>(shards), 0.0);
-      ParallelForShards(
-          0, f.rows(), shards,
-          [&](std::int64_t lo, std::int64_t hi, int shard) {
-            double local = 0.0;
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const double* a = f.RowPtr(i);
-              const double* b = f_next.RowPtr(i);
-              for (std::int64_t j = 0; j < f.cols(); ++j) {
-                local = std::max(local, std::fabs(a[j] - b[j]));
-              }
-            }
-            shard_delta[static_cast<std::size_t>(shard)] = local;
-          });
-      double delta = 0.0;
-      for (double local : shard_delta) delta = std::max(delta, local);
-      obs::TraceCounter("prop/linbp_residual", delta);
-      std::swap(f, f_next);
-      if (delta < options.early_stop_tolerance) break;
-    } else {
-      std::swap(f, f_next);
-    }
-  }
-  result.beliefs = std::move(f);
-  return result;
-}
-
-}  // namespace
 
 Result<LinBpResult> PropagateLinBPStreaming(
     const std::string& path, const Labeling& seeds, const DenseMatrix& h,
     const LinBpOptions& options,
     const BlockRowReaderOptions& reader_options) {
-  Result<BlockRowReader> opened = BlockRowReader::Open(path, reader_options);
-  if (!opened.ok()) return opened.status();
-  BlockRowReader& reader = opened.value();
-  if (reader.num_nodes() != seeds.num_nodes()) {
-    return Status::InvalidArgument(
-        path + ": cache has " + std::to_string(reader.num_nodes()) +
-        " nodes but the seed labeling has " +
-        std::to_string(seeds.num_nodes()));
-  }
-  if (h.rows() != h.cols() ||
-      h.rows() != static_cast<std::int64_t>(seeds.num_classes())) {
-    return Status::InvalidArgument(
-        "PropagateLinBPStreaming: H must be k×k for k = num_classes");
-  }
-  if (options.iterations <= 0 || options.convergence_scale <= 0.0) {
-    return Status::InvalidArgument(
-        "PropagateLinBPStreaming: iterations and convergence_scale must be "
-        "positive");
-  }
-
-  if (StreamingPrefetchEnabled(reader_options)) {
-    PrefetchingPanelReader prefetcher(std::move(reader));
-    return PropagateStreamed(prefetcher, seeds, h, options);
-  }
-  return PropagateStreamed(reader, seeds, h, options);
+  Result<std::unique_ptr<PanelSource>> source =
+      OpenStreamedPanelSource(path, reader_options);
+  if (!source.ok()) return source.status();
+  return RunLinBp(*source.value(), seeds, h, options);
 }
 
 }  // namespace fgr

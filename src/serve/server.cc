@@ -21,13 +21,14 @@
 #include <utility>
 
 #include "core/dce.h"
-#include "data/streaming_estimation.h"
+#include "core/path_stats.h"
+#include "data/fgrbin.h"
+#include "data/panel_source.h"
 #include "matrix/kernels/kernels.h"
 #include "obs/counters.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "prop/linbp.h"
-#include "prop/linbp_streaming.h"
 
 namespace fgr {
 namespace {
@@ -113,6 +114,11 @@ struct FgrServer::EstimateOutcome {
   const Labeling* seeds = nullptr;
   std::int64_t num_nodes = 0;
   std::int64_t num_edges = 0;
+  // W as panels: the mapping's whole-matrix view when resident, the cache
+  // streamed under the streaming budget otherwise. Opened on first use
+  // (OpenPanels), so a warm estimate never touches the CSR, and a cold
+  // label summarizes and propagates over the one opened source.
+  std::unique_ptr<PanelSource> panels;
   SummarySource source = SummarySource::kComputed;
   EstimationResult estimate;
   // Per-request stage breakdown, echoed as the "stages" object in
@@ -121,6 +127,21 @@ struct FgrServer::EstimateOutcome {
   double seconds_summarize = 0.0;  // SummaryCache::GetOrCompute
   double seconds_optimize = 0.0;   // EstimateDceFromStatistics
   double seconds_propagate = 0.0;  // label only: LinBP
+
+  Status OpenPanels(std::int64_t streaming_budget_bytes) {
+    if (panels != nullptr) return Status::Ok();
+    if (mapped != nullptr) {
+      panels = std::make_unique<ResidentPanelSource>(mapped->View());
+      return Status::Ok();
+    }
+    BlockRowReaderOptions reader_options;
+    reader_options.memory_budget_bytes = streaming_budget_bytes;
+    Result<std::unique_ptr<PanelSource>> streamed =
+        OpenStreamedPanelSource(canonical_path, reader_options);
+    if (!streamed.ok()) return streamed.status();
+    panels = std::move(streamed).value();
+    return Status::Ok();
+  }
 };
 
 FgrServer::FgrServer(ServerOptions options)
@@ -177,7 +198,11 @@ Status FgrServer::RunEstimate(const Request& request,
   const PathType path_type = request.options.path_type;
 
   std::uint64_t content_hash = 0;
-  SummaryCache::ComputeFn compute;
+  // The (mtime, size) a streamed dataset's content hash is valid for; the
+  // summarization re-stats after streaming so a file rewritten mid-pass
+  // can never be cached (or persisted) under the old hash.
+  std::filesystem::file_time_type mtime_before{};
+  std::uintmax_t size_before = 0;
 
   // Acquire canonicalizes internally; the resident branch reads the
   // canonical key back from the mapping rather than resolving the path a
@@ -192,40 +217,14 @@ Status FgrServer::RunEstimate(const Request& request,
     outcome->num_nodes = mapped->num_nodes();
     outcome->num_edges = mapped->num_edges();
     content_hash = mapped->content_hash();
-    // Resident: one whole-matrix panel per pass over the mapped CSR — the
-    // exact AbsorbPanel sequence ComputeGraphStatistics runs in-core, so
-    // the statistics match the offline CLI bit for bit. The lambda
-    // captures only the mapping (which owns the labels); the summarizer
-    // copies them once, and only on the cold path that runs it.
-    compute = [mapped, path_type](int max_length) -> Result<DatasetSummary> {
-      PanelSummarizer summarizer(mapped->labels(), max_length, path_type);
-      const CsrPanelView whole = mapped->View();
-      for (int length = 1; length <= max_length; ++length) {
-        FGR_TRACE_SPAN("summarize/pass", length);
-        summarizer.BeginPass(length);
-        summarizer.AbsorbPanel(whole);
-        summarizer.EndPass();
-      }
-      return SummaryFromStatistics(
-          summarizer.Finish(NormalizationVariant::kRowStochastic), path_type,
-          max_length, mapped->num_nodes(),
-          static_cast<std::int32_t>(mapped->labels().num_classes()));
-    };
   } else if (acquired.status().code() == StatusCode::kFailedPrecondition) {
-    // Too large for residency: estimates stream, and label requests
-    // propagate block-row over the same panel stream (HandleLabel routes
-    // non-resident outcomes through PropagateLinBPStreaming).
+    // Too large for residency: estimates and labels stream block-row.
     outcome->canonical_path = CanonicalPath(dataset);
     const std::string& path = outcome->canonical_path;
-    // The (mtime, size) the content hash is valid for; the compute
-    // callback re-stats after streaming so a file rewritten mid-pass can
-    // never be cached (or persisted) under the old hash.
     std::error_code stat_ec;
-    const std::filesystem::file_time_type mtime_before =
-        std::filesystem::last_write_time(path, stat_ec);
+    mtime_before = std::filesystem::last_write_time(path, stat_ec);
     if (stat_ec) return Status::NotFound("cannot stat " + path);
-    const std::uintmax_t size_before =
-        std::filesystem::file_size(path, stat_ec);
+    size_before = std::filesystem::file_size(path, stat_ec);
     if (stat_ec) return Status::NotFound("cannot stat " + path);
 
     Result<std::uint64_t> hashed = StreamingContentHash(path);
@@ -239,33 +238,6 @@ Status FgrServer::RunEstimate(const Request& request,
     if (!info.ok()) return info.status();
     outcome->num_nodes = info.value().num_nodes;
     outcome->num_edges = info.value().nnz / 2;
-    // The lambda runs synchronously inside GetOrCompute below (outcome
-    // outlives it), so it borrows the seeds instead of copying the
-    // n-sized labeling — warm hits never pay for a labeling the callback
-    // would not even run on.
-    const Labeling* streaming_seeds = &outcome->streamed_seeds;
-    const std::int64_t budget = options_.streaming_budget_bytes;
-    compute = [path, streaming_seeds, path_type, budget, mtime_before,
-               size_before](int max_length) -> Result<DatasetSummary> {
-      BlockRowReaderOptions reader_options;
-      reader_options.memory_budget_bytes = budget;
-      Result<GraphStatistics> stats = ComputeGraphStatisticsStreaming(
-          path, *streaming_seeds, max_length, path_type,
-          NormalizationVariant::kRowStochastic, reader_options);
-      if (!stats.ok()) return stats.status();
-      // Fail before anything is cached when the bytes changed under the
-      // pass: the hash above would no longer describe these statistics.
-      std::error_code ec;
-      if (std::filesystem::last_write_time(path, ec) != mtime_before ||
-          ec || std::filesystem::file_size(path, ec) != size_before || ec) {
-        return Status::Internal(
-            path + ": dataset changed while being summarized; retry");
-      }
-      return SummaryFromStatistics(
-          std::move(stats).value(), path_type, max_length,
-          streaming_seeds->num_nodes(),
-          static_cast<std::int32_t>(streaming_seeds->num_classes()));
-    };
   } else {
     return acquired.status();
   }
@@ -281,6 +253,29 @@ Status FgrServer::RunEstimate(const Request& request,
         path + ": cache labels have fewer than 2 classes");
   }
   outcome->seconds_acquire = stage_timer.Seconds();
+
+  // Runs synchronously inside GetOrCompute, so it borrows `outcome`; only
+  // the cold path that runs it opens the panels. A resident source is one
+  // whole-matrix panel per pass — the exact pass ComputeGraphStatistics
+  // runs offline, so the statistics match the CLI bit for bit.
+  const SummaryCache::ComputeFn compute =
+      [&](int max_length) -> Result<DatasetSummary> {
+    FGR_RETURN_IF_ERROR(outcome->OpenPanels(options_.streaming_budget_bytes));
+    Result<GraphStatistics> stats = ComputeGraphStatistics(
+        *outcome->panels, *outcome->seeds, max_length, path_type,
+        NormalizationVariant::kRowStochastic);
+    if (!stats.ok()) return stats.status();
+    std::error_code ec;
+    if (outcome->mapped == nullptr &&
+        (std::filesystem::last_write_time(path, ec) != mtime_before || ec ||
+         std::filesystem::file_size(path, ec) != size_before || ec)) {
+      return Status::Internal(
+          path + ": dataset changed while being summarized; retry");
+    }
+    return SummaryFromStatistics(
+        std::move(stats).value(), path_type, max_length, outcome->num_nodes,
+        static_cast<std::int32_t>(outcome->seeds->num_classes()));
+  };
 
   stage_timer.Restart();
   Result<std::shared_ptr<const DatasetSummary>> summary = [&] {
@@ -362,31 +357,20 @@ std::string FgrServer::HandleLabel(const Request& request) {
     metrics_.requests_errors.fetch_add(1, kRelaxed);
     return ErrorResponseLine(status, request.version);
   }
-  LinBpResult prop;
   Stopwatch propagate_timer;
-  if (outcome.mapped != nullptr) {
-    // Propagate straight over the mapped adjacency — the view overload
-    // runs the identical kernels RunLinBp(graph, ...) runs in-core.
+  // Over the same source the summarization used; labels match the offline
+  // pipeline bit for bit in serial runs, resident or streamed.
+  Result<LinBpResult> propagated = [&]() -> Result<LinBpResult> {
     FGR_TRACE_SPAN("serve/propagate");
-    prop = RunLinBp(outcome.mapped->View(), outcome.mapped->degrees(),
-                    *outcome.seeds, outcome.estimate.h);
-  } else {
-    // Non-resident: block-row propagation over the same panel stream the
-    // summarization used; only the n×k belief state is resident. Labels
-    // match the resident path bit for bit in serial runs.
-    FGR_TRACE_SPAN("serve/propagate");
-    BlockRowReaderOptions reader_options;
-    reader_options.memory_budget_bytes = options_.streaming_budget_bytes;
-    Result<LinBpResult> streamed = PropagateLinBPStreaming(
-        outcome.canonical_path, *outcome.seeds, outcome.estimate.h,
-        LinBpOptions{}, reader_options);
-    if (!streamed.ok()) {
-      ++errors_;
-      metrics_.requests_errors.fetch_add(1, kRelaxed);
-      return ErrorResponseLine(streamed.status(), request.version);
-    }
-    prop = std::move(streamed).value();
+    FGR_RETURN_IF_ERROR(outcome.OpenPanels(options_.streaming_budget_bytes));
+    return RunLinBp(*outcome.panels, *outcome.seeds, outcome.estimate.h);
+  }();
+  if (!propagated.ok()) {
+    ++errors_;
+    metrics_.requests_errors.fetch_add(1, kRelaxed);
+    return ErrorResponseLine(propagated.status(), request.version);
   }
+  const LinBpResult& prop = propagated.value();
   outcome.seconds_propagate = propagate_timer.Seconds();
   const Labeling predicted =
       LabelsFromBeliefs(prop.beliefs, *outcome.seeds);

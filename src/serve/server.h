@@ -13,14 +13,13 @@
 //                                     over-budget files fall to streaming)
 //     → SummaryCache::GetOrCompute   (M(ℓ) statistics keyed on the file's
 //                                     content hash; memory → .fgrsum
-//                                     sidecar → PanelSummarizer over the
-//                                     mapped view, or the BlockRowReader
-//                                     streaming pass for non-resident
-//                                     datasets)
+//                                     sidecar → ComputeGraphStatistics
+//                                     over the request's PanelSource: the
+//                                     mapped view, or streamed panels for
+//                                     non-resident datasets)
 //     → EstimateDceFromStatistics    (k-scale restarts, graph-free)
-//     → [label only] RunLinBp over the mapped view — or, for non-resident
-//       datasets, PropagateLinBPStreaming block-row over the same panel
-//       stream — + LabelsFromBeliefs.
+//     → [label only] RunLinBp over the same PanelSource +
+//       LabelsFromBeliefs.
 //
 // Robustness: per-request and idle-connection deadlines run off a slotted
 // timer wheel; a connection whose write buffer outgrows its cap is evicted

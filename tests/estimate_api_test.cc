@@ -162,18 +162,34 @@ TEST(EstimateApiTest, LabelFreeCachesNeedExplicitSeeds) {
   ASSERT_TRUE(graph.ok());
   const std::string path = TempPath("api_no_labels.fgrbin");
   ASSERT_TRUE(WriteFgrBin(graph.value(), nullptr, nullptr, path).ok());
-
-  // Embedded-label seeding fails with a precise precondition...
-  auto unseeded = Estimate(DatasetRef::FgrBin(path), TestOptions());
-  ASSERT_FALSE(unseeded.ok());
-  EXPECT_EQ(unseeded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(unseeded.status().message().find("no label section"),
-            std::string::npos);
-
-  // ...while caller-supplied seeds work over the same cache.
   const Labeling seeds = Labeling::FromVector({0, -1, 1, -1}, 2);
-  auto seeded = Estimate(DatasetRef::FgrBin(path, &seeds), TestOptions());
-  EXPECT_TRUE(seeded.ok()) << seeded.status().ToString();
+
+  // Every path route — Estimate and Label, in core and streamed — seeds
+  // from the embedded labels the same way.
+  for (const bool label : {false, true}) {
+    for (const bool budgeted : {false, true}) {
+      SCOPED_TRACE(std::string(label ? "Label" : "Estimate") +
+                   (budgeted ? ", budgeted" : ", in core"));
+      LabelOptions options;
+      options.estimate = TestOptions();
+      if (budgeted) options.estimate.memory_budget_bytes = 8192;
+      const auto run = [&](const DatasetRef& ref) {
+        return label ? Label(ref, options).status()
+                     : Estimate(ref, options.estimate).status();
+      };
+
+      // Embedded-label seeding fails with a precise precondition...
+      const Status unseeded = run(DatasetRef::FgrBin(path));
+      ASSERT_FALSE(unseeded.ok());
+      EXPECT_EQ(unseeded.code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(unseeded.message().find("no label section"),
+                std::string::npos);
+
+      // ...while caller-supplied seeds work over the same cache.
+      const Status seeded = run(DatasetRef::FgrBin(path, &seeds));
+      EXPECT_TRUE(seeded.ok()) << seeded.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -65,7 +65,9 @@ TEST_F(TraceTest, ExportIsValidChromeTraceJson) {
     EXPECT_NE(event.Find("tid"), nullptr);
     const std::string ph = event.GetString("ph", "");
     EXPECT_TRUE(ph == "X" || ph == "C") << ph;
-    if (ph == "X") EXPECT_NE(event.Find("dur"), nullptr);
+    if (ph == "X") {
+      EXPECT_NE(event.Find("dur"), nullptr);
+    }
   }
   EXPECT_EQ(names, (std::set<std::string>{"test/outer", "test/inner",
                                           "test/residual"}));

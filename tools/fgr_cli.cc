@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -158,15 +159,23 @@ int Usage() {
 
 // Resolves and loads a dataset reference through the registry (names and
 // file paths alike); `labels_path` (when non-empty) overrides the source's
-// own labels, whatever kind of source resolved.
+// own labels, whatever kind of source resolved. Without `auto_cache`, a
+// file path is read without writing a "<path>.fgrbin" cache beside it.
 Result<LabeledGraph> LoadDataset(const std::string& reference,
                                  const std::string& labels_path,
-                                 const Flags& flags) {
+                                 const Flags& flags, bool auto_cache = true) {
   LoadOptions options;
   options.scale = flags.Double("scale", 1.0);
   options.seed = static_cast<std::uint64_t>(flags.Int("seed", 42));
   options.num_classes = static_cast<ClassId>(flags.Int("classes", -1));
-  auto source = ResolveGraphSource(reference);
+  FileSourceOptions file_options;
+  file_options.auto_cache = false;
+  std::error_code ec;
+  auto source =
+      auto_cache || !std::filesystem::is_regular_file(reference, ec)
+          ? ResolveGraphSource(reference)
+          : std::shared_ptr<const GraphSource>(std::make_shared<FileSource>(
+                reference, reference, file_options));
   if (!source.ok()) return source.status();
   Result<LabeledGraph> loaded = source.value()->Load(options);
   if (!loaded.ok()) return loaded.status();
@@ -337,7 +346,10 @@ int RunDatasetsList() {
 
 int RunDatasetsConvert(const std::string& reference,
                        const std::string& out_path, const Flags& flags) {
-  auto loaded = LoadDataset(reference, flags.Str("labels"), flags);
+  // `out_path` is the cache; an auto-cache beside the input would write
+  // the same CSR a second time.
+  auto loaded = LoadDataset(reference, flags.Str("labels"), flags,
+                            /*auto_cache=*/false);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   const Status status = WriteFgrBin(loaded.value(), out_path);
   if (!status.ok()) return Fail(status.ToString());
